@@ -6,7 +6,7 @@
 //! data through each layer's public functions to get unit costs. It adds no
 //! instrumentation to the program.
 
-use crate::fidelity::SampledBlock;
+use crate::fidelity::{Fidelity, SampledBlock};
 use crate::run::{pass, Pass, PassConfig};
 use crate::stats::{min, percentile, Envelope};
 use crate::trace::Tracer;
@@ -112,7 +112,7 @@ pub fn traced(workload: Workload, seed: u64, repeats: usize) -> Result<Traced, S
     let mut failures = Vec::new();
 
     let mut untraced = Envelope::default();
-    let mut digest = None;
+    let mut first = None;
     for _ in 0..repeats {
         let config = PassConfig {
             step,
@@ -121,7 +121,7 @@ pub fn traced(workload: Workload, seed: u64, repeats: usize) -> Result<Traced, S
         };
         let reference = pass(spec.clone(), config, None)?;
         untraced.add_repeat(&reference.step_secs)?;
-        check_digest(&mut digest, &reference, "untraced", &mut failures);
+        check_same_run(&mut first, &reference, "untraced", &mut failures);
     }
 
     let telemetry = TelemetryConfig::default()
@@ -149,7 +149,7 @@ pub fn traced(workload: Workload, seed: u64, repeats: usize) -> Result<Traced, S
         };
         let traced_pass = pass(traced_spec.clone(), config, Some(&mut tracer))?;
         traced_env.add_repeat(&traced_pass.step_secs)?;
-        check_digest(&mut digest, &traced_pass, "traced", &mut failures);
+        check_same_run(&mut first, &traced_pass, "traced", &mut failures);
         let total = |p: &Pass| p.step_secs.iter().sum::<f64>();
         if best
             .as_ref()
@@ -290,21 +290,33 @@ pub fn traced(workload: Workload, seed: u64, repeats: usize) -> Result<Traced, S
     Ok(Traced {
         values,
         failures,
-        digest: digest.unwrap_or(0),
+        digest: first.map_or(0, |(digest, _)| digest),
         tracer,
     })
 }
 
-fn check_digest(first: &mut Option<u64>, pass: &Pass, label: &str, failures: &mut Vec<String>) {
-    if let Some(fidelity) = &pass.fidelity {
-        failures.extend(fidelity.failures.iter().cloned());
-    }
-    match *first {
-        None => *first = Some(pass.digest),
-        Some(d) if d != pass.digest => failures.push(format!(
-            "{label} pass digest {:016x} differs from {d:016x}",
+/// Checks a pass against the first one: the same report digest and, the
+/// passes being assessed, bit-identical simulated metrics.
+fn check_same_run(
+    first: &mut Option<(u64, Fidelity)>,
+    pass: &Pass,
+    label: &str,
+    failures: &mut Vec<String>,
+) {
+    let fidelity = pass
+        .fidelity
+        .as_ref()
+        .expect("traced-run passes are assessed");
+    failures.extend(fidelity.failures.iter().cloned());
+    match first {
+        None => *first = Some((pass.digest, fidelity.clone())),
+        Some((digest, _)) if *digest != pass.digest => failures.push(format!(
+            "{label} pass digest {:016x} differs from {digest:016x}",
             pass.digest
         )),
+        Some((_, first)) if first != fidelity => {
+            failures.push(format!("{label} pass simulated metrics differ"))
+        }
         Some(_) => {}
     }
 }

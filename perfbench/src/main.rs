@@ -2,8 +2,8 @@
 //! driven through the `rtem` facade. See `perfbench/README.md`.
 //!
 //! ```bash
-//! cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
-//!     --workload long --seed 1 --seconds 25 --trace 0
+//! cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+//!     --workload long --seed 1 --seconds 30 --trace 0
 //! ```
 //!
 //! The last line of standard output is one JSON object:
@@ -286,7 +286,7 @@ mod tests {
     }
 
     #[test]
-    fn the_driver_command_line_parses() {
+    fn a_full_command_line_parses() {
         let args = Args::parse(&argv("--workload roam --seed 7 --seconds 25 --trace 1")).unwrap();
         assert_eq!(
             args,

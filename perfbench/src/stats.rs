@@ -59,8 +59,9 @@ pub const MIN_SAMPLES_BEYOND: usize = 10;
 pub fn percentile(samples: &[f64], q: f64) -> Option<f64> {
     assert!(q > 0.0 && q < 1.0, "quantile {q} outside (0, 1)");
     let n = samples.len();
-    // 1-based nearest rank, then the number of samples strictly above it.
-    let rank = ((q * n as f64).ceil() as usize).max(1);
+    // 1-based nearest rank (the epsilon keeps q * n = 990.0000000001 at
+    // rank 990), then the number of samples strictly above it.
+    let rank = ((q * n as f64 - 1e-9).ceil() as usize).max(1);
     if n < rank + MIN_SAMPLES_BEYOND {
         return None;
     }
@@ -117,10 +118,23 @@ mod tests {
         assert_eq!(percentile(&samples, 0.99), Some(990.0));
         assert_eq!(percentile(&samples[..999], 0.99), None);
         assert_eq!(percentile(&samples, 0.999), None);
+        // The float rank agrees with the exact integer one, ceil(99n / 100).
+        for n in 20..3000usize {
+            let beyond = n - (99 * n).div_ceil(100);
+            assert_eq!(
+                percentile(&samples_of(n), 0.99).is_some(),
+                beyond >= 10,
+                "n={n}"
+            );
+        }
         // A median needs twenty samples.
         assert_eq!(percentile(&samples[..20], 0.5), Some(10.0));
         assert_eq!(percentile(&samples[..19], 0.5), None);
         assert_eq!(percentile(&[], 0.5), None);
+    }
+
+    fn samples_of(n: usize) -> Vec<f64> {
+        (0..n).map(|i| i as f64).collect()
     }
 
     #[test]
