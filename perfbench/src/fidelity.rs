@@ -7,9 +7,9 @@
 
 use crate::stats::percentile;
 use rtem::chain::ledger::LedgerEntry;
+use rtem::chain::{Digest, Sha256};
 use rtem::prelude::*;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// The paper's Fig. 5 band for the aggregator-over-devices overhead, %.
 pub const GAP_BAND_PERCENT: (f64, f64) = (0.9, 8.2);
@@ -415,37 +415,15 @@ pub fn assess(report: &RunReport, scan: &LedgerScan, require_membership: bool) -
     fidelity
 }
 
-/// FNV-1a over the Debug rendering of the report's deterministic fields:
+/// SHA-256 of the Debug rendering of the report's deterministic fields:
 /// world metrics, Fig. 5 windows, handshake statistics, ledger summaries
-/// and bills (telemetry is left out: its profile is wall-clock). Debug
+/// and bills (telemetry is left out: its profile is host time). Debug
 /// prints floats in shortest round-trip form, so equal digests mean
 /// bit-identical values.
-pub fn report_digest(report: &RunReport) -> u64 {
-    let mut hasher = Fnv1a::default();
-    write!(
-        hasher,
+pub fn report_digest(report: &RunReport) -> Digest {
+    let rendering = format!(
         "{:?}{:?}{:?}{:?}{:?}",
         report.metrics, report.accuracy, report.handshakes, report.ledgers, report.bills
-    )
-    .expect("hashing never fails");
-    hasher.0
-}
-
-/// 64-bit FNV-1a as a `fmt::Write` sink, so the rendering is never
-/// materialised.
-struct Fnv1a(u64);
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl std::fmt::Write for Fnv1a {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        for byte in s.bytes() {
-            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
-        }
-        Ok(())
-    }
+    );
+    Sha256::digest(rendering.as_bytes())
 }

@@ -6,13 +6,14 @@
 //! data through each layer's public functions to get unit costs. It adds no
 //! instrumentation to the program.
 
+use crate::clock::cpu_timed;
 use crate::fidelity::{Fidelity, SampledBlock};
 use crate::run::{pass, Pass, PassConfig};
 use crate::stats::{min, percentile, Envelope};
 use crate::trace::Tracer;
 use crate::workloads::Workload;
 use rtem::aggregator::{BillingEngine, CollectionOrigin, VerifierConfig, WindowVerifier};
-use rtem::chain::{audit_chain, merkle_root, LedgerEntry, MeteringLedger, Sha256};
+use rtem::chain::{audit_chain, merkle_root, Digest, LedgerEntry, MeteringLedger, Sha256};
 use rtem::codecs::{encode, parse};
 use rtem::device::LocalStore;
 use rtem::metrics::accuracy_windows;
@@ -20,7 +21,6 @@ use rtem::net::{BackhaulMesh, ClientId, MeasurementRecord, MqttBroker, Packet};
 use rtem::prelude::*;
 use rtem::sensors::{Branch, GridNetwork, Ina219Model};
 use std::hint::black_box;
-use std::time::Instant;
 
 /// Steps of the traced run and of its untraced reference: enough for a
 /// 99th percentile of step time with ten samples beyond it.
@@ -45,7 +45,7 @@ pub const PER_LAYER: [(&str, &str); 53] = [
     ("core.upstream_sample_ns", "ns"),
     ("core.window_end_us", "us"),
     ("core.broker_poll_ns", "ns"),
-    ("core.backhaul_poll_ns", "ns"),
+    ("core.backhaul_polls", "count"),
     ("core.events_dispatched", "count"),
     ("core.queue_high_water", "count"),
     ("core.unattributed_frac", "fraction"),
@@ -96,60 +96,58 @@ pub struct Traced {
     pub values: Vec<f64>,
     /// Failed checks (digest mismatches, replay round-trips).
     pub failures: Vec<String>,
-    /// Digest of the untraced reference passes.
-    pub digest: u64,
+    /// Digest of the first pass; every other pass must match it.
+    pub digest: Digest,
     /// The spans, for writing out.
     pub tracer: Tracer,
 }
 
-/// Runs the traced measurement: `repeats` untraced reference passes and
-/// `repeats` telemetry-enabled traced passes at [`TRACE_STEPS`] steps, then
-/// the layer replays on the fastest traced pass. Both sides scan the
-/// ledgers between steps, so telemetry is their only difference.
+/// Runs the traced measurement: `repeats` rounds of one untraced reference
+/// pass and one telemetry-enabled traced pass at [`TRACE_STEPS`] steps,
+/// then the layer replays on the fastest traced pass. The two kinds of pass
+/// alternate, so a change in the host's load during the run falls on both
+/// envelopes alike. Both sides scan the ledgers between steps, so telemetry
+/// and spans are their only difference.
 pub fn traced(workload: Workload, seed: u64, repeats: usize) -> Result<Traced, String> {
     let spec = workload.spec(seed);
     let step = SimDuration::from_micros(spec.horizon.as_micros().div_ceil(TRACE_STEPS));
-    let mut failures = Vec::new();
-
-    let mut untraced = Envelope::default();
-    let mut first = None;
-    for _ in 0..repeats {
-        let config = PassConfig {
-            step,
-            assess: true,
-            ..PassConfig::of(workload)
-        };
-        let reference = pass(spec.clone(), config, None)?;
-        untraced.add_repeat(&reference.step_secs)?;
-        check_same_run(&mut first, &reference, "untraced", &mut failures);
-    }
-
     let telemetry = TelemetryConfig::default()
         .with_profile(true)
         .with_profile_sample_stride(1);
     let traced_spec = spec.clone().with_telemetry(telemetry);
+    let untraced_config = PassConfig {
+        step,
+        assess: true,
+        ..PassConfig::of(workload)
+    };
+    let traced_config = PassConfig {
+        sample_blocks: SAMPLE_BLOCKS,
+        keep_report: true,
+        ..untraced_config
+    };
+    let mut failures = Vec::new();
+    let mut first = None;
     let mut tracer = Tracer::default();
-    let mut traced_env = Envelope::default();
+    let (mut untraced, mut traced_env) = (Envelope::default(), Envelope::default());
     let mut build_s = Vec::new();
+    let mut finish_s = f64::INFINITY;
     let mut best: Option<Pass> = None;
     for _ in 0..repeats {
+        let reference = pass(spec.clone(), untraced_config, None)?;
+        untraced.add_repeat(&reference.step_secs)?;
+        check_same_run(&mut first, &reference, "untraced", &mut failures);
+
         for _ in 0..BUILDS_PER_REPEAT {
-            let (world, secs) = tracer.span("rtem.build_world", |_| {
-                Experiment::new(workload.spec(seed)).build_world()
+            let ((world, secs), _) = tracer.span("rtem.build_world", |_| {
+                cpu_timed(|| Experiment::new(workload.spec(seed)).build_world())
             });
             drop(world.map_err(|e| format!("invalid spec: {e}"))?);
             build_s.push(secs);
         }
-        let config = PassConfig {
-            step,
-            assess: true,
-            sample_blocks: SAMPLE_BLOCKS,
-            keep_report: true,
-            ..PassConfig::of(workload)
-        };
-        let traced_pass = pass(traced_spec.clone(), config, Some(&mut tracer))?;
+        let traced_pass = pass(traced_spec.clone(), traced_config, Some(&mut tracer))?;
         traced_env.add_repeat(&traced_pass.step_secs)?;
         check_same_run(&mut first, &traced_pass, "traced", &mut failures);
+        finish_s = finish_s.min(traced_pass.finish_secs);
         let total = |p: &Pass| p.step_secs.iter().sum::<f64>();
         if best
             .as_ref()
@@ -184,12 +182,7 @@ pub fn traced(workload: Workload, seed: u64, repeats: usize) -> Result<Traced, S
     let world = report.world();
     let traced_run_s = traced_env.total();
     let untraced_run_s = untraced.total();
-    let best_pass_s: f64 = best.step_secs.iter().sum();
-    let step_ms: Vec<f64> = tracer
-        .secs_of("rtem.step")
-        .iter()
-        .map(|s| s * 1e3)
-        .collect();
+    let step_ms: Vec<f64> = best.step_secs.iter().map(|s| s * 1e3).collect();
 
     let devices: Vec<_> = world.devices().map(|(_, d)| d.counters()).collect();
     let sum_devices = |f: fn(&rtem::device::HealthCounters) -> u64| -> f64 {
@@ -227,17 +220,18 @@ pub fn traced(workload: Workload, seed: u64, repeats: usize) -> Result<Traced, S
         min(&build_s).unwrap_or(0.0),
         percentile(&step_ms, 0.5).unwrap_or(0.0),
         percentile(&step_ms, 0.99).unwrap_or(0.0),
-        min(&tracer.secs_of("rtem.finish")).unwrap_or(0.0),
+        finish_s,
         attributed_ns / 1e9 / traced_run_s,
         traced_run_s / untraced_run_s - 1.0,
         kind("MeasureTick").0,
         upstream_ns,
         kind("WindowEnd").0 / 1e3,
         kind("BrokerPoll").0,
-        kind("BackhaulPoll").0,
+        backhaul_polls,
         counter(MetricId::SchedulerEventsDispatched),
         counter(MetricId::SchedulerQueueHighWater),
-        1.0 - profile.total_ns() as f64 / 1e9 / best_pass_s,
+        // The dispatch profiler reads the wall clock.
+        1.0 - profile.total_ns() as f64 / 1e9 / best.wall_run_secs,
         replay.accuracy_windows_s,
         replay.world_metrics_s,
         ticks,
@@ -290,7 +284,7 @@ pub fn traced(workload: Workload, seed: u64, repeats: usize) -> Result<Traced, S
     Ok(Traced {
         values,
         failures,
-        digest: first.map_or(0, |(digest, _)| digest),
+        digest: first.map_or(Digest::ZERO, |(digest, _)| digest),
         tracer,
     })
 }
@@ -298,7 +292,7 @@ pub fn traced(workload: Workload, seed: u64, repeats: usize) -> Result<Traced, S
 /// Checks a pass against the first one: the same report digest and, the
 /// passes being assessed, bit-identical simulated metrics.
 fn check_same_run(
-    first: &mut Option<(u64, Fidelity)>,
+    first: &mut Option<(Digest, Fidelity)>,
     pass: &Pass,
     label: &str,
     failures: &mut Vec<String>,
@@ -311,7 +305,7 @@ fn check_same_run(
     match first {
         None => *first = Some((pass.digest, fidelity.clone())),
         Some((digest, _)) if *digest != pass.digest => failures.push(format!(
-            "{label} pass digest {:016x} differs from {digest:016x}",
+            "{label} pass digest {} differs from {digest}",
             pass.digest
         )),
         Some((_, first)) if first != fidelity => {
@@ -321,14 +315,13 @@ fn check_same_run(
     }
 }
 
-/// Fastest host seconds per operation over `rounds` rounds of `batch`, each
+/// Fastest CPU seconds per operation over `rounds` rounds of `batch`, each
 /// round returning how many operations it did.
 fn per_op(rounds: usize, mut batch: impl FnMut() -> usize) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..rounds {
-        let start = Instant::now();
-        let ops = batch();
-        best = best.min(start.elapsed().as_secs_f64() / ops.max(1) as f64);
+        let (ops, secs) = cpu_timed(&mut batch);
+        best = best.min(secs / ops.max(1) as f64);
     }
     best
 }

@@ -12,6 +12,7 @@
 //! a separate traced run. The line before it records the machine, the
 //! repeats and the checks.
 
+mod clock;
 mod env;
 mod fidelity;
 mod layers;
@@ -182,9 +183,10 @@ fn end_to_end(args: &Args, repeats: usize, details: &mut String) -> Result<Outco
     let peak_rss_mb = env::peak_rss_mb().ok_or("cannot read VmHWM")?;
     write!(
         details,
-        ",\"digest\":\"{:016x}\",\"single_shot_run_s\":{:?},\"single_shot_report_s\":{:?},\"device_ticks\":{},\"handshakes\":{},\"memberships\":{},\"due_records\":{},\"unbilled_due\":{},\"windows_verified\":{},\"windows_anomalous\":{},\"settled_windows\":{},\"settled_out_of_band\":{},\"mean_gap_percent\":{},\"sealed_entries\":{}",
+        ",\"digest\":\"{}\",\"single_shot_run_s\":{:?},\"wall_run_s\":{:?},\"single_shot_report_s\":{:?},\"device_ticks\":{},\"handshakes\":{},\"memberships\":{},\"due_records\":{},\"unbilled_due\":{},\"windows_verified\":{},\"windows_anomalous\":{},\"settled_windows\":{},\"settled_out_of_band\":{},\"mean_gap_percent\":{},\"sealed_entries\":{}",
         e2e.digest,
         e2e.single_shot_run_s,
+        e2e.wall_run_s,
         e2e.single_shot_report_s,
         f.device_ticks,
         f.handshakes,
@@ -234,7 +236,7 @@ fn per_layer(args: &Args, repeats: usize, details: &mut String) -> Result<Outcom
         .collect();
     write!(
         details,
-        ",\"digest\":\"{:016x}\",\"spans\":{},\"self_time_s\":{{{}}}",
+        ",\"digest\":\"{}\",\"spans\":{},\"self_time_s\":{{{}}}",
         traced.digest,
         json_string(&path),
         self_times.join(",")

@@ -1,23 +1,27 @@
 //! One pass of a workload through the `rtem` facade, and the end-to-end
 //! measurement built from repeated passes.
 
+use crate::clock::cpu_timed;
 use crate::fidelity::{
     assess, report_digest, Fidelity, FidelityProbe, LedgerScan, SampledBlock, BILLING_GRACE,
 };
 use crate::stats::Envelope;
 use crate::trace::Tracer;
 use crate::workloads::Workload;
+use rtem::chain::Digest;
 use rtem::prelude::*;
 use std::time::Instant;
 
 /// What one pass measured and produced.
 pub struct Pass {
-    /// Host seconds of every timed `RunHandle::step` call, in order.
+    /// CPU seconds of every timed `RunHandle::step` call, in order.
     pub step_secs: Vec<f64>,
-    /// Host seconds of `RunHandle::finish`.
+    /// Wall-clock seconds of the timed steps together.
+    pub wall_run_secs: f64,
+    /// CPU seconds of `RunHandle::finish`.
     pub finish_secs: f64,
     /// Digest of the report's deterministic fields.
-    pub digest: u64,
+    pub digest: Digest,
     /// Simulated fidelity and checks of the run, when assessed.
     pub fidelity: Option<Fidelity>,
     /// Blocks kept for the chain-layer replay.
@@ -54,23 +58,16 @@ impl PassConfig {
     }
 }
 
-/// Times `f`, inside a span named `name` when a tracer is given.
+/// CPU seconds of `f`, which runs inside a span named `name` when a tracer
+/// is given.
 fn timed<T>(
     tracer: &mut Option<&mut Tracer>,
     name: &'static str,
     f: impl FnOnce() -> T,
 ) -> (T, f64) {
     match tracer {
-        Some(tracer) => {
-            let id = tracer.enter(name);
-            let value = f();
-            (value, tracer.exit(id))
-        }
-        None => {
-            let start = Instant::now();
-            let value = f();
-            (value, start.elapsed().as_secs_f64())
-        }
+        Some(tracer) => tracer.span(name, |_| cpu_timed(f)).0,
+        None => cpu_timed(f),
     }
 }
 
@@ -107,8 +104,11 @@ pub fn pass(
     let mut checkpointed = false;
     let steps = (horizon.as_micros()).div_ceil(step.as_micros().max(1)) as usize;
     let mut step_secs = Vec::with_capacity(steps);
+    let mut wall_run_secs = 0.0;
     while !handle.is_finished() {
+        let wall = Instant::now();
         let (_, secs) = timed(&mut tracer, "rtem.step", || handle.step(step));
+        wall_run_secs += wall.elapsed().as_secs_f64();
         step_secs.push(secs);
         let seen = handle.probe_mut().take();
         if !assessed {
@@ -126,6 +126,7 @@ pub fn pass(
     }
     Ok(Pass {
         step_secs,
+        wall_run_secs,
         finish_secs,
         digest: report_digest(&report),
         fidelity: assessed.then(|| assess(&report, &scan, require_membership)),
@@ -134,19 +135,15 @@ pub fn pass(
     })
 }
 
-/// Host seconds of the fastest set-up (spec construction plus
+/// CPU seconds of the fastest set-up (spec construction plus
 /// `Experiment::build_world`) in a batch that runs until it has
 /// accumulated `min_total` seconds and at least three builds. The world's
 /// teardown is not timed.
 pub fn setup_batch(workload: Workload, seed: u64, min_total: f64) -> Result<f64, String> {
     let (mut best, mut total, mut builds) = (f64::INFINITY, 0.0, 0);
     while total < min_total || builds < 3 {
-        let start = Instant::now();
-        let world = Experiment::new(workload.spec(seed))
-            .build_world()
-            .map_err(|e| format!("invalid spec: {e}"))?;
-        let secs = start.elapsed().as_secs_f64();
-        drop(world);
+        let (world, secs) = cpu_timed(|| Experiment::new(workload.spec(seed)).build_world());
+        drop(world.map_err(|e| format!("invalid spec: {e}"))?);
         best = best.min(secs);
         total += secs;
         builds += 1;
@@ -154,7 +151,7 @@ pub fn setup_batch(workload: Workload, seed: u64, min_total: f64) -> Result<f64,
     Ok(best)
 }
 
-/// Host seconds a set-up batch accumulates before its fastest build counts.
+/// CPU seconds a set-up batch accumulates before its fastest build counts.
 pub const SETUP_BATCH_SECS: f64 = 0.25;
 
 /// The end-to-end measurement of one workload and seed.
@@ -166,12 +163,14 @@ pub struct EndToEnd {
     /// Fastest `finish`, s.
     pub report_s: f64,
     /// Report digest of the first repeat.
-    pub digest: u64,
+    pub digest: Digest,
     /// Fidelity of the first repeat, plus a failure for every repeat whose
     /// digest differs from the first's.
     pub fidelity: Fidelity,
-    /// Every repeat's single-shot step total, s (for the record only).
+    /// Every repeat's single-shot step total, CPU s (for the record only).
     pub single_shot_run_s: Vec<f64>,
+    /// Every repeat's wall-clock stepping time, s (for the record only).
+    pub wall_run_s: Vec<f64>,
     /// Every repeat's `finish`, s (for the record only).
     pub single_shot_report_s: Vec<f64>,
 }
@@ -186,8 +185,9 @@ pub fn end_to_end(workload: Workload, seed: u64, repeats: usize) -> Result<EndTo
     let mut envelope = Envelope::default();
     let mut setup_batches = Vec::with_capacity(repeats);
     let mut report_s = f64::INFINITY;
-    let mut first: Option<(u64, Fidelity)> = None;
+    let mut first: Option<(Digest, Fidelity)> = None;
     let mut single_shot_run_s = Vec::with_capacity(repeats);
+    let mut wall_run_s = Vec::with_capacity(repeats);
     let mut single_shot_report_s = Vec::with_capacity(repeats);
     for _ in 0..repeats {
         setup_batches.push(setup_batch(workload, seed, SETUP_BATCH_SECS)?);
@@ -198,13 +198,14 @@ pub fn end_to_end(workload: Workload, seed: u64, repeats: usize) -> Result<EndTo
         let pass = pass(workload.spec(seed), config, None)?;
         envelope.add_repeat(&pass.step_secs)?;
         single_shot_run_s.push(pass.step_secs.iter().sum());
+        wall_run_s.push(pass.wall_run_secs);
         single_shot_report_s.push(pass.finish_secs);
         report_s = report_s.min(pass.finish_secs);
         match (&mut first, pass.fidelity) {
             (None, Some(fidelity)) => first = Some((pass.digest, fidelity)),
             (Some((digest, fidelity)), _) if *digest != pass.digest => {
                 fidelity.failures.push(format!(
-                    "repeat digest {:016x} differs from the first repeat's {digest:016x}",
+                    "repeat digest {} differs from the first repeat's {digest}",
                     pass.digest
                 ))
             }
@@ -220,6 +221,7 @@ pub fn end_to_end(workload: Workload, seed: u64, repeats: usize) -> Result<EndTo
         digest,
         fidelity,
         single_shot_run_s,
+        wall_run_s,
         single_shot_report_s,
     })
 }
@@ -289,8 +291,8 @@ mod tests {
         // The traced pass recorded its start, steps and finish as spans.
         assert_eq!(tracer.secs_of("rtem.pass").len(), 1);
         assert_eq!(tracer.secs_of("rtem.start").len(), 1);
-        assert_eq!(tracer.secs_of("rtem.step"), fine.step_secs);
-        assert_eq!(tracer.secs_of("rtem.finish"), vec![fine.finish_secs]);
+        assert_eq!(tracer.secs_of("rtem.step").len(), fine.step_secs.len());
+        assert_eq!(tracer.secs_of("rtem.finish").len(), 1);
     }
 
     /// A roaming device's records, collected abroad and forwarded home,
