@@ -6,8 +6,8 @@
 //! another tenant; the thread's own CPU time (`CLOCK_THREAD_CPUTIME_ID`,
 //! the kernel's `sum_exec_runtime`) leaves both out. It still counts
 //! slowdowns while the thread runs, such as a neighbour's cache and memory
-//! traffic, which the stepped envelope strips instead. On an idle machine
-//! the two clocks agree.
+//! traffic, which the host-speed gauge (`gauge.rs`) cancels instead. On an
+//! idle machine the two clocks agree.
 
 #[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
 compile_error!("the benchmark reads thread CPU time through 64-bit Linux clock_gettime");

@@ -133,7 +133,7 @@ pub fn traced(workload: Workload, seed: u64, repeats: usize) -> Result<Traced, S
     let mut finish_s = f64::INFINITY;
     let mut best: Option<Pass> = None;
     for _ in 0..repeats {
-        let reference = pass(spec.clone(), untraced_config, None)?;
+        let reference = pass(spec.clone(), untraced_config, None, None)?;
         untraced.add_repeat(&reference.step_secs)?;
         check_same_run(&mut first, &reference, "untraced", &mut failures);
 
@@ -144,7 +144,7 @@ pub fn traced(workload: Workload, seed: u64, repeats: usize) -> Result<Traced, S
             drop(world.map_err(|e| format!("invalid spec: {e}"))?);
             build_s.push(secs);
         }
-        let traced_pass = pass(traced_spec.clone(), traced_config, Some(&mut tracer))?;
+        let traced_pass = pass(traced_spec.clone(), traced_config, Some(&mut tracer), None)?;
         traced_env.add_repeat(&traced_pass.step_secs)?;
         check_same_run(&mut first, &traced_pass, "traced", &mut failures);
         finish_s = finish_s.min(traced_pass.finish_secs);

@@ -15,6 +15,7 @@
 mod clock;
 mod env;
 mod fidelity;
+mod gauge;
 mod layers;
 mod run;
 mod stats;
@@ -183,11 +184,14 @@ fn end_to_end(args: &Args, repeats: usize, details: &mut String) -> Result<Outco
     let peak_rss_mb = env::peak_rss_mb().ok_or("cannot read VmHWM")?;
     write!(
         details,
-        ",\"digest\":\"{}\",\"single_shot_run_s\":{:?},\"wall_run_s\":{:?},\"single_shot_report_s\":{:?},\"device_ticks\":{},\"handshakes\":{},\"memberships\":{},\"due_records\":{},\"unbilled_due\":{},\"windows_verified\":{},\"windows_anomalous\":{},\"settled_windows\":{},\"settled_out_of_band\":{},\"mean_gap_percent\":{},\"sealed_entries\":{}",
+        ",\"digest\":\"{}\",\"raw_cpu_s\":{{\"setup\":{:?},\"run\":{:?},\"wall_run\":{:?},\"report\":{:?},\"run_slice\":{:?},\"finish_slice\":{:?}}},\"device_ticks\":{},\"handshakes\":{},\"memberships\":{},\"due_records\":{},\"unbilled_due\":{},\"windows_verified\":{},\"windows_anomalous\":{},\"settled_windows\":{},\"settled_out_of_band\":{},\"mean_gap_percent\":{},\"sealed_entries\":{}",
         e2e.digest,
-        e2e.single_shot_run_s,
-        e2e.wall_run_s,
-        e2e.single_shot_report_s,
+        e2e.raw.setup_s,
+        e2e.raw.run_s,
+        e2e.raw.wall_run_s,
+        e2e.raw.report_s,
+        e2e.raw.run_slice_s,
+        e2e.raw.finish_slice_s,
         f.device_ticks,
         f.handshakes,
         f.memberships,

@@ -5,7 +5,8 @@ use crate::clock::cpu_timed;
 use crate::fidelity::{
     assess, report_digest, Fidelity, FidelityProbe, LedgerScan, SampledBlock, BILLING_GRACE,
 };
-use crate::stats::Envelope;
+use crate::gauge::{Gauge, REFERENCE_SLICE_S};
+use crate::stats::{mean, median};
 use crate::trace::Tracer;
 use crate::workloads::Workload;
 use rtem::chain::Digest;
@@ -20,6 +21,8 @@ pub struct Pass {
     pub wall_run_secs: f64,
     /// CPU seconds of `RunHandle::finish`.
     pub finish_secs: f64,
+    /// Gauge slices taken beside the pass, when it was gauged.
+    pub gauge: Option<PassGauge>,
     /// Digest of the report's deterministic fields.
     pub digest: Digest,
     /// Simulated fidelity and checks of the run, when assessed.
@@ -28,6 +31,15 @@ pub struct Pass {
     pub sample: Vec<SampledBlock>,
     /// The report, when the caller asked to keep it.
     pub report: Option<RunReport>,
+}
+
+/// Gauge slices of one pass, CPU seconds.
+#[derive(Debug, Clone, Copy)]
+pub struct PassGauge {
+    /// Mean slice taken between the steps and right after the last one.
+    pub run_slice_s: f64,
+    /// Mean of the slices right before and right after `finish`.
+    pub finish_slice_s: f64,
 }
 
 /// How a pass is driven.
@@ -43,6 +55,8 @@ pub struct PassConfig {
     pub sample_blocks: usize,
     /// Keep the report in the [`Pass`].
     pub keep_report: bool,
+    /// Steps between two gauge slices, when the pass is gauged.
+    pub gauge_every: usize,
 }
 
 impl PassConfig {
@@ -54,6 +68,7 @@ impl PassConfig {
             require_membership: workload.requires_membership(),
             sample_blocks: 0,
             keep_report: false,
+            gauge_every: workload.shape().gauge_every,
         }
     }
 }
@@ -76,11 +91,14 @@ fn timed<T>(
 /// sealed blocks are scanned between steps (outside the timed calls), the
 /// billing checkpoint is taken `BILLING_GRACE` before the horizon and the
 /// report is assessed. With a tracer, the start, every step and the finish
-/// are recorded as spans inside one `rtem.pass` span.
+/// are recorded as spans inside one `rtem.pass` span. With a gauge, a slice
+/// is taken after every `config.gauge_every` steps, and a few right before
+/// and right after the finish, all outside the timed calls.
 pub fn pass(
     spec: ScenarioSpec,
     config: PassConfig,
     mut tracer: Option<&mut Tracer>,
+    mut gauge: Option<&mut Gauge>,
 ) -> Result<Pass, String> {
     let PassConfig {
         step,
@@ -88,6 +106,7 @@ pub fn pass(
         require_membership,
         sample_blocks,
         keep_report,
+        gauge_every,
     } = config;
     let pass_span = tracer.as_deref_mut().map(|t| t.enter("rtem.pass"));
     let horizon = SimTime::ZERO + spec.horizon;
@@ -105,11 +124,17 @@ pub fn pass(
     let steps = (horizon.as_micros()).div_ceil(step.as_micros().max(1)) as usize;
     let mut step_secs = Vec::with_capacity(steps);
     let mut wall_run_secs = 0.0;
+    let mut run_slices = Vec::new();
     while !handle.is_finished() {
         let wall = Instant::now();
         let (_, secs) = timed(&mut tracer, "rtem.step", || handle.step(step));
         wall_run_secs += wall.elapsed().as_secs_f64();
         step_secs.push(secs);
+        if let Some(gauge) = gauge.as_deref_mut() {
+            if step_secs.len() % gauge_every.max(1) == 0 {
+                run_slices.push(gauge.slice());
+            }
+        }
         let seen = handle.probe_mut().take();
         if !assessed {
             continue;
@@ -120,7 +145,19 @@ pub fn pass(
         }
         scan.scan(handle.world(), seen);
     }
+    let before = gauge.as_deref_mut().map(Gauge::slices);
     let (report, finish_secs) = timed(&mut tracer, "rtem.finish", || handle.finish());
+    let after = gauge.map(Gauge::slices);
+    let gauge = match (before, after) {
+        (Some(before), Some(after)) => {
+            run_slices.extend(before);
+            Some(PassGauge {
+                run_slice_s: mean(&run_slices),
+                finish_slice_s: mean(&[before, after].concat()),
+            })
+        }
+        _ => None,
+    };
     if let (Some(tracer), Some(id)) = (tracer, pass_span) {
         tracer.exit(id);
     }
@@ -128,6 +165,7 @@ pub fn pass(
         step_secs,
         wall_run_secs,
         finish_secs,
+        gauge,
         digest: report_digest(&report),
         fidelity: assessed.then(|| assess(&report, &scan, require_membership)),
         sample: scan.sample().to_vec(),
@@ -156,51 +194,72 @@ pub const SETUP_BATCH_SECS: f64 = 0.25;
 
 /// The end-to-end measurement of one workload and seed.
 pub struct EndToEnd {
-    /// Median across the set-up batches of each batch's fastest build, s.
+    /// Set-up in reference seconds: median across repeats of the batch's
+    /// fastest build over the repeat's mean gauge slice.
     pub setup_s: f64,
-    /// Stepped envelope of the run, s.
+    /// Run in reference seconds: median across repeats of the step total
+    /// over the repeat's mean gauge slice.
     pub run_s: f64,
-    /// Fastest `finish`, s.
+    /// Report in reference seconds: median across repeats of `finish` over
+    /// the slices right beside it.
     pub report_s: f64,
     /// Report digest of the first repeat.
     pub digest: Digest,
     /// Fidelity of the first repeat, plus a failure for every repeat whose
     /// digest differs from the first's.
     pub fidelity: Fidelity,
-    /// Every repeat's single-shot step total, CPU s (for the record only).
-    pub single_shot_run_s: Vec<f64>,
-    /// Every repeat's wall-clock stepping time, s (for the record only).
-    pub wall_run_s: Vec<f64>,
-    /// Every repeat's `finish`, s (for the record only).
-    pub single_shot_report_s: Vec<f64>,
+    /// Every repeat's CPU times, for the record.
+    pub raw: Raw,
 }
 
-/// Runs `repeats` passes, each preceded by a set-up batch, so set-up, run
-/// and report samples are spread across the whole measurement rather than
-/// taken in one burst. `setup_s` is the median of the batches' fastest
-/// builds, `run_s` the stepped envelope, `report_s` the fastest `finish`.
-/// The first pass is assessed; a later repeat whose digest differs from the
+/// Per-repeat CPU seconds behind [`EndToEnd`].
+#[derive(Debug, Default)]
+pub struct Raw {
+    /// Fastest build of the set-up batch.
+    pub setup_s: Vec<f64>,
+    /// Sum of the step times.
+    pub run_s: Vec<f64>,
+    /// Sum of the steps' wall-clock times.
+    pub wall_run_s: Vec<f64>,
+    /// `finish`.
+    pub report_s: Vec<f64>,
+    /// Mean gauge slice of the run.
+    pub run_slice_s: Vec<f64>,
+    /// Mean gauge slice beside `finish`.
+    pub finish_slice_s: Vec<f64>,
+}
+
+/// The median of `times[i] / slices[i]`, times [`REFERENCE_SLICE_S`]:
+/// host seconds at the reference host's speed.
+fn at_reference_speed(times: &[f64], slices: &[f64]) -> f64 {
+    let ratios: Vec<f64> = times.iter().zip(slices).map(|(t, g)| t / g).collect();
+    median(&ratios).unwrap_or(f64::NAN) * REFERENCE_SLICE_S
+}
+
+/// Runs `repeats` gauged passes, each preceded by a set-up batch, so set-up,
+/// run and report samples are spread across the whole measurement. Each
+/// host time is divided by gauge slices taken beside it in the same repeat,
+/// and the median across repeats is reported at the reference speed. The
+/// first pass is assessed; a later repeat whose digest differs from the
 /// first's is a failed check: the run would not be deterministic.
 pub fn end_to_end(workload: Workload, seed: u64, repeats: usize) -> Result<EndToEnd, String> {
-    let mut envelope = Envelope::default();
-    let mut setup_batches = Vec::with_capacity(repeats);
-    let mut report_s = f64::INFINITY;
+    let mut gauge = Gauge::default();
+    let mut raw = Raw::default();
     let mut first: Option<(Digest, Fidelity)> = None;
-    let mut single_shot_run_s = Vec::with_capacity(repeats);
-    let mut wall_run_s = Vec::with_capacity(repeats);
-    let mut single_shot_report_s = Vec::with_capacity(repeats);
     for _ in 0..repeats {
-        setup_batches.push(setup_batch(workload, seed, SETUP_BATCH_SECS)?);
+        raw.setup_s
+            .push(setup_batch(workload, seed, SETUP_BATCH_SECS)?);
         let config = PassConfig {
             assess: first.is_none(),
             ..PassConfig::of(workload)
         };
-        let pass = pass(workload.spec(seed), config, None)?;
-        envelope.add_repeat(&pass.step_secs)?;
-        single_shot_run_s.push(pass.step_secs.iter().sum());
-        wall_run_s.push(pass.wall_run_secs);
-        single_shot_report_s.push(pass.finish_secs);
-        report_s = report_s.min(pass.finish_secs);
+        let pass = pass(workload.spec(seed), config, None, Some(&mut gauge))?;
+        let slices = pass.gauge.ok_or("a gauged pass took no gauge slices")?;
+        raw.run_s.push(pass.step_secs.iter().sum());
+        raw.wall_run_s.push(pass.wall_run_secs);
+        raw.report_s.push(pass.finish_secs);
+        raw.run_slice_s.push(slices.run_slice_s);
+        raw.finish_slice_s.push(slices.finish_slice_s);
         match (&mut first, pass.fidelity) {
             (None, Some(fidelity)) => first = Some((pass.digest, fidelity)),
             (Some((digest, fidelity)), _) if *digest != pass.digest => {
@@ -213,16 +272,13 @@ pub fn end_to_end(workload: Workload, seed: u64, repeats: usize) -> Result<EndTo
         }
     }
     let (digest, fidelity) = first.ok_or("no repeats were run")?;
-    setup_batches.sort_by(f64::total_cmp);
     Ok(EndToEnd {
-        setup_s: setup_batches[setup_batches.len() / 2],
-        run_s: envelope.total(),
-        report_s,
+        setup_s: at_reference_speed(&raw.setup_s, &raw.run_slice_s),
+        run_s: at_reference_speed(&raw.run_s, &raw.run_slice_s),
+        report_s: at_reference_speed(&raw.report_s, &raw.finish_slice_s),
         digest,
         fidelity,
-        single_shot_run_s,
-        wall_run_s,
-        single_shot_report_s,
+        raw,
     })
 }
 
@@ -242,8 +298,9 @@ mod tests {
             require_membership: true,
             sample_blocks: 2,
             keep_report: true,
+            gauge_every: 1,
         };
-        let pass = pass(spec, config, None).unwrap();
+        let pass = pass(spec, config, None, None).unwrap();
         let f = pass.fidelity.as_ref().unwrap();
         assert_eq!(
             f.failures,
@@ -280,10 +337,13 @@ mod tests {
             require_membership: true,
             sample_blocks: 0,
             keep_report: false,
+            gauge_every: 1,
         };
-        let coarse = pass(spec.clone(), config(2000), None).unwrap();
+        let coarse = pass(spec.clone(), config(2000), None, None).unwrap();
         let mut tracer = Tracer::default();
-        let fine = pass(spec, config(250), Some(&mut tracer)).unwrap();
+        let mut gauge = Gauge::default();
+        let fine = pass(spec, config(250), Some(&mut tracer), Some(&mut gauge)).unwrap();
+        // Neither stepping nor the gauge slices between steps change the run.
         assert_eq!(coarse.digest, fine.digest);
         assert_eq!(coarse.fidelity, fine.fidelity);
         assert_eq!(coarse.step_secs.len(), 20);
@@ -293,6 +353,20 @@ mod tests {
         assert_eq!(tracer.secs_of("rtem.start").len(), 1);
         assert_eq!(tracer.secs_of("rtem.step").len(), fine.step_secs.len());
         assert_eq!(tracer.secs_of("rtem.finish").len(), 1);
+        assert!(coarse.gauge.is_none());
+        let slices = fine.gauge.unwrap();
+        assert!(slices.run_slice_s > 0.0 && slices.finish_slice_s > 0.0);
+    }
+
+    #[test]
+    fn reference_speed_is_the_median_ratio() {
+        let times = [2.0, 3.0, 9.0];
+        let slices = [1.0, 1.5, 1.0];
+        let reported = at_reference_speed(&times, &slices) / REFERENCE_SLICE_S;
+        assert!((reported - 2.0).abs() < 1e-12, "{reported}");
+        // A host twice as slow doubles both and changes nothing.
+        let slow = at_reference_speed(&times.map(|t| 2.0 * t), &slices.map(|g| 2.0 * g));
+        assert!((slow / REFERENCE_SLICE_S - 2.0).abs() < 1e-12);
     }
 
     /// A roaming device's records, collected abroad and forwarded home,
@@ -310,8 +384,9 @@ mod tests {
             require_membership: false,
             sample_blocks: 0,
             keep_report: true,
+            gauge_every: 1,
         };
-        let pass = pass(spec, config, None).unwrap();
+        let pass = pass(spec, config, None, None).unwrap();
         let report = pass.report.as_ref().unwrap();
         assert!(report.bill(mover).unwrap().roaming_charge_uas > 0);
         let f = pass.fidelity.as_ref().unwrap();

@@ -70,6 +70,24 @@ pub fn percentile(samples: &[f64], q: f64) -> Option<f64> {
     Some(sorted[rank - 1])
 }
 
+/// Arithmetic mean, NaN for no samples.
+pub fn mean(samples: &[f64]) -> f64 {
+    samples.iter().sum::<f64>() / samples.len() as f64
+}
+
+/// Middle value (the mean of the two middle ones for an even count),
+/// `None` for no samples. Used across repeats, not for latency percentiles.
+pub fn median(samples: &[f64]) -> Option<f64> {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let n = sorted.len();
+    match n {
+        0 => None,
+        _ if n % 2 == 1 => Some(sorted[n / 2]),
+        _ => Some((sorted[n / 2 - 1] + sorted[n / 2]) / 2.0),
+    }
+}
+
 /// Smallest value, `None` for no samples.
 pub fn min(samples: &[f64]) -> Option<f64> {
     samples.iter().copied().reduce(f64::min)
@@ -144,6 +162,13 @@ mod tests {
         samples.sort_by(f64::total_cmp);
         assert_eq!(shuffled, percentile(&samples, 0.5));
         assert_eq!(shuffled, Some(19.0));
+    }
+
+    #[test]
+    fn median_takes_the_middle() {
+        assert_eq!(median(&[]), None);
+        assert_eq!(median(&[3.0, 1.0, 2.0]), Some(2.0));
+        assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), Some(2.5));
     }
 
     #[test]

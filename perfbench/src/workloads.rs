@@ -31,6 +31,8 @@ pub struct Shape {
     /// Host seconds one repeat of the run takes on the reference host
     /// (2 shared vCPUs); sets how many repeats fit a run of `--seconds`.
     pub nominal_repeat_s: f64,
+    /// Steps between two slices of the host-speed gauge.
+    pub gauge_every: usize,
 }
 
 /// Devices per network that make a tour in `roam`.
@@ -66,14 +68,17 @@ impl Workload {
             Workload::Fleet => Shape {
                 step: SimDuration::from_millis(250),
                 nominal_repeat_s: 3.0,
+                gauge_every: 1,
             },
             Workload::Long => Shape {
                 step: SimDuration::from_secs(1),
                 nominal_repeat_s: 3.0,
+                gauge_every: 4,
             },
             Workload::Roam => Shape {
                 step: SimDuration::from_millis(500),
                 nominal_repeat_s: 4.1,
+                gauge_every: 1,
             },
         }
     }
