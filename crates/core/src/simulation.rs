@@ -331,22 +331,35 @@ struct NetworkSite {
     grid: GridNetwork,
     position: Position,
     client: ClientId,
-    /// Devices currently plugged into this network's grid, with the branch
-    /// each occupies. Mirrors the global `device_sites` map so per-network
-    /// work (upstream sampling, outage failover, consensus validator sets)
-    /// touches only the site's own population instead of scanning every
-    /// device in the world. Keyed by device id, so iteration order matches
-    /// the whole-population scans this index replaced.
-    members: BTreeMap<DeviceId, BranchId>,
+    /// Devices currently plugged into this network's grid: the per-site
+    /// index of [`DeviceSlot::site`], so per-network work (upstream
+    /// sampling, outage failover, consensus validator sets) touches only the
+    /// site's own population. Id-ordered, like the whole-population scans
+    /// it replaced.
+    members: BTreeSet<DeviceId>,
+    /// The fault that took this network's aggregator dark, while it is.
+    down: Option<usize>,
 }
 
-/// What a broker [`ClientId`] resolves to — maintained on device/network
-/// creation so per-delivery routing is an index lookup, not a scan over the
-/// whole population.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Endpoint {
-    Device(DeviceId),
-    Site(AggregatorAddr),
+/// Everything the world keeps about one device. One slot per id, created by
+/// [`World::add_device`] and never removed, so a device's site, protocol
+/// and cadence cannot disagree with each other.
+struct DeviceSlot {
+    device: MeteringDevice,
+    /// The network and grid branch the device is plugged into, if any.
+    site: Option<(AggregatorAddr, BranchId)>,
+    /// The meter protocol the device speaks on its access link.
+    meter_kind: MeterKind,
+    /// Tmeasure installed by a `SetMeasureInterval` command; `None` keeps
+    /// the world-wide cadence.
+    measure_override: Option<SimDuration>,
+}
+
+impl DeviceSlot {
+    /// The grid branch of a device that is plugged in (a site member).
+    fn branch(&self) -> BranchId {
+        self.site.expect("site members are plugged in").1
+    }
 }
 
 /// Wire-level accounting for the meter-codec boundary.
@@ -503,9 +516,8 @@ impl FaultRuntime {
 pub struct World {
     config: WorldConfig,
     scheduler: Scheduler<WorldEvent>,
-    devices: BTreeMap<DeviceId, MeteringDevice>,
-    device_clients: BTreeMap<DeviceId, ClientId>,
-    device_sites: BTreeMap<DeviceId, (AggregatorAddr, BranchId)>,
+    /// The device table, in id order.
+    devices: BTreeMap<DeviceId, DeviceSlot>,
     sites: BTreeMap<AggregatorAddr, NetworkSite>,
     broker: MqttBroker,
     backhaul: BackhaulMesh,
@@ -513,11 +525,6 @@ pub struct World {
     rng: SimRng,
     notifications: Vec<WorldNotification>,
     faults: Vec<FaultRuntime>,
-    /// Networks whose aggregator is currently dark, mapped to the fault that
-    /// took them down.
-    down_sites: BTreeMap<AggregatorAddr, usize>,
-    /// Broker-client routing index (see [`Endpoint`]).
-    client_endpoints: BTreeMap<ClientId, Endpoint>,
     /// Times with a broker-poll event already scheduled, so a burst of
     /// publishes arms one wakeup per delivery time instead of one per
     /// publish. Dropping only *exact-time* duplicates keeps the event
@@ -533,17 +540,9 @@ pub struct World {
     loads_scratch: Vec<(BranchId, rtem_sensors::energy::Milliamps)>,
     /// Scratch id list of the tick batch being dispatched, in pop order.
     tick_batch_scratch: Vec<DeviceId>,
-    /// Scratch set guarding the batch against duplicate device ids (a
-    /// device has exactly one pending tick, so this never fires today —
-    /// it keeps the batcher safe against future extra schedulings).
-    tick_seen_scratch: BTreeSet<DeviceId>,
     /// Scratch per-device outcomes of the batch compute phase, reused so
     /// steady-state batching allocates nothing per batch.
     tick_outcomes_scratch: Vec<TickOutcome>,
-    /// Which meter protocol each device speaks. Absent means
-    /// [`MeterKind::Internal`] — the native packet encoding, byte-identical
-    /// with every earlier revision of the testbed.
-    device_meter_kinds: BTreeMap<DeviceId, MeterKind>,
     /// Wire-level accounting at the meter-codec boundary.
     wire: WireStats,
     /// Optional capture of every telegram put on the wire (golden-fixture
@@ -560,10 +559,6 @@ pub struct World {
     /// control plane comes up. A `Cohort { percent }` target takes the first
     /// `percent` of this order, so the cohorts of a staged rollout nest.
     cohort_order: Vec<DeviceId>,
-    /// Per-device Tmeasure overrides installed by `SetMeasureInterval`
-    /// commands. Empty in uncommanded runs, so the measurement cadence is
-    /// bit-identical with earlier revisions.
-    measure_overrides: BTreeMap<DeviceId, SimDuration>,
     /// Always-on dispatch tally by [`WorldEvent`] kind — two array writes
     /// per event, read back at telemetry snapshot time.
     events_by_kind: [u64; WorldEvent::KIND_COUNT],
@@ -628,10 +623,6 @@ const PARALLEL_MIN_CHUNK: usize = 16;
 /// pop order.
 #[derive(Default)]
 struct TickOutcome {
-    /// Whether the device existed when the batch was computed. Absent
-    /// devices get the same treatment as the sequential path's early
-    /// return: dispatch bookkeeping only, no reschedule.
-    present: bool,
     /// The device's last handshake before the tick, for completion
     /// detection in the apply phase.
     handshake_before: Option<HandshakeBreakdown>,
@@ -640,19 +631,23 @@ struct TickOutcome {
 }
 
 /// Collects disjoint mutable borrows of `ids`' devices, in `ids` order.
-/// Devices missing from the map (removed mid-run) yield `None`; callers
-/// treat those exactly like the sequential path treats an unknown device.
+///
+/// # Panics
+///
+/// Panics if an id is not in the table or appears twice.
 fn device_slots<'a>(
-    devices: &'a mut BTreeMap<DeviceId, MeteringDevice>,
+    devices: &'a mut BTreeMap<DeviceId, DeviceSlot>,
     ids: &[DeviceId],
-) -> Vec<Option<&'a mut MeteringDevice>> {
+) -> Vec<&'a mut MeteringDevice> {
     let wanted: BTreeSet<DeviceId> = ids.iter().copied().collect();
     let mut by_id: BTreeMap<DeviceId, &'a mut MeteringDevice> = devices
         .iter_mut()
         .filter(|(id, _)| wanted.contains(id))
-        .map(|(&id, device)| (id, device))
+        .map(|(&id, slot)| (id, &mut slot.device))
         .collect();
-    ids.iter().map(|id| by_id.remove(id)).collect()
+    ids.iter()
+        .map(|id| by_id.remove(id).expect("one table slot per batched id"))
+        .collect()
 }
 
 /// Fans `f` over the slot/result pairs on up to `shards` scoped worker
@@ -662,7 +657,7 @@ fn device_slots<'a>(
 /// schedules the threads — the caller's apply order alone decides the
 /// simulation outcome.
 fn fan_out<R, F>(
-    slots: &mut [Option<&mut MeteringDevice>],
+    slots: &mut [&mut MeteringDevice],
     results: &mut [R],
     shards: usize,
     f: F,
@@ -674,10 +669,8 @@ where
     let total = slots.len();
     let workers = shards.min(total / PARALLEL_MIN_CHUNK).max(1);
     if workers == 1 {
-        for (slot, result) in slots.iter_mut().zip(results.iter_mut()) {
-            if let Some(device) = slot.as_deref_mut() {
-                f(device, result);
-            }
+        for (device, result) in slots.iter_mut().zip(results.iter_mut()) {
+            f(device, result);
         }
         return Vec::new();
     }
@@ -697,10 +690,8 @@ where
             lane += 1;
             handles.push(scope.spawn(move || {
                 let started = std::time::Instant::now();
-                for (slot, result) in slot_chunk.iter_mut().zip(result_chunk.iter_mut()) {
-                    if let Some(device) = slot.as_deref_mut() {
-                        f(device, result);
-                    }
+                for (device, result) in slot_chunk.iter_mut().zip(result_chunk.iter_mut()) {
+                    f(device, result);
                 }
                 let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 (this_lane, nanos)
@@ -709,10 +700,8 @@ where
         // Lane 0 is the dispatcher thread itself, working the tail chunk
         // while the spawned lanes run.
         let started = std::time::Instant::now();
-        for (slot, result) in slots_rest.iter_mut().zip(results_rest.iter_mut()) {
-            if let Some(device) = slot.as_deref_mut() {
-                f(device, result);
-            }
+        for (device, result) in slots_rest.iter_mut().zip(results_rest.iter_mut()) {
+            f(device, result);
         }
         let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let mut lanes = vec![(0usize, nanos)];
@@ -790,14 +779,59 @@ fn corrupt_records(
     }
 }
 
+/// Executes one fleet command on one device's firmware (or the slot state
+/// standing in for it). Returns whether the command was accepted.
+fn apply_fleet_command(slot: &mut DeviceSlot, command: FleetCommand) -> bool {
+    let device = &mut slot.device;
+    match command {
+        FleetCommand::SetMeasureInterval { interval } => {
+            if !device.set_measure_interval(interval) {
+                return false;
+            }
+            // The already-armed tick fires at the old cadence once; the
+            // reschedule after it picks up the override.
+            slot.measure_override = Some(interval);
+        }
+        FleetCommand::SetTariffHint(hint) => {
+            if !hint.is_valid() {
+                return false;
+            }
+            device.set_tariff(DeviceTariff {
+                peak_price_per_mwh: hint.peak_price_per_mwh,
+                off_peak_price_per_mwh: hint.off_peak_price_per_mwh,
+                peak_start_s: hint.peak_start_s,
+                peak_end_s: hint.peak_end_s,
+            });
+        }
+        FleetCommand::SetMeterKind { kind } => slot.meter_kind = kind,
+        FleetCommand::StartReporting => device.set_reporting(true),
+        FleetCommand::StopReporting => device.set_reporting(false),
+        FleetCommand::CrashRecoveryConfig { persist_store } => {
+            device.set_persist_store(persist_store)
+        }
+    }
+    true
+}
+
+/// Exclusive upper bound on device ids and aggregator addresses. Broker
+/// client ids are derived from them in disjoint blocks — devices below
+/// `ID_LIMIT`, aggregators from `ID_LIMIT` up, the fleet manager at
+/// `2 * ID_LIMIT` — and deliveries are routed by inverting that map.
+pub const ID_LIMIT: u64 = 1_000_000;
+
 fn device_client(device: DeviceId) -> ClientId {
     ClientId(device.0)
+}
+
+/// Inverse of [`device_client`]: `None` outside the device block.
+fn client_device(client: ClientId) -> Option<DeviceId> {
+    (client.0 < ID_LIMIT).then_some(DeviceId(client.0))
 }
 
 /// The fleet manager's broker session — the operator-side endpoint of the
 /// control plane, connected only when a control plan is scheduled.
 fn manager_client() -> ClientId {
-    ClientId(2_000_000)
+    ClientId(2 * ID_LIMIT)
 }
 
 /// How many devices a `percent` cohort selects out of `fleet` — rounded up,
@@ -807,7 +841,13 @@ fn cohort_size(fleet: usize, percent: u8) -> usize {
 }
 
 fn aggregator_client(addr: AggregatorAddr) -> ClientId {
-    ClientId(1_000_000 + u64::from(addr.0))
+    ClientId(ID_LIMIT + u64::from(addr.0))
+}
+
+/// Inverse of [`aggregator_client`]: `None` outside the aggregator block.
+fn client_site(client: ClientId) -> Option<AggregatorAddr> {
+    let addr = client.0.checked_sub(ID_LIMIT).filter(|&a| a < ID_LIMIT)?;
+    Some(AggregatorAddr(addr as u32))
 }
 
 fn uplink_topic(addr: AggregatorAddr) -> String {
@@ -825,8 +865,6 @@ impl World {
         World {
             scheduler: Scheduler::new(),
             devices: BTreeMap::new(),
-            device_clients: BTreeMap::new(),
-            device_sites: BTreeMap::new(),
             sites: BTreeMap::new(),
             broker: MqttBroker::new(rng.derive(1)),
             backhaul: BackhaulMesh::new(rng.derive(2)),
@@ -835,22 +873,17 @@ impl World {
             config,
             notifications: Vec::new(),
             faults: Vec::new(),
-            down_sites: BTreeMap::new(),
-            client_endpoints: BTreeMap::new(),
             armed_broker_polls: BTreeSet::new(),
             armed_backhaul_polls: BTreeSet::new(),
             outbound_scratch: Vec::new(),
             loads_scratch: Vec::new(),
             tick_batch_scratch: Vec::new(),
-            tick_seen_scratch: BTreeSet::new(),
             tick_outcomes_scratch: Vec::new(),
-            device_meter_kinds: BTreeMap::new(),
             wire: WireStats::default(),
             telegram_log: None,
             controls: Vec::new(),
             control_ready: false,
             cohort_order: Vec::new(),
-            measure_overrides: BTreeMap::new(),
             events_by_kind: [0; WorldEvent::KIND_COUNT],
             queue_high_water: 0,
             codec_failures: CodecFailureTable::new(),
@@ -880,7 +913,21 @@ impl World {
     }
 
     /// Adds a network (aggregator + its grid) at `position`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the address is already taken or not below [`ID_LIMIT`].
     pub fn add_network(&mut self, addr: AggregatorAddr, position: Position) {
+        assert!(
+            u64::from(addr.0) < ID_LIMIT,
+            "network address {} is not below {ID_LIMIT}",
+            addr.0
+        );
+        assert!(
+            !self.sites.contains_key(&addr),
+            "network {} added twice",
+            addr.0
+        );
         let aggregator = Aggregator::new(
             AggregatorConfig {
                 tariff: self.config.tariff.clone(),
@@ -898,7 +945,6 @@ impl World {
             self.backhaul.connect(addr, other, self.config.backhaul);
         }
         self.radio.place_aggregator(addr, position);
-        self.client_endpoints.insert(client, Endpoint::Site(addr));
         self.sites.insert(
             addr,
             NetworkSite {
@@ -906,7 +952,8 @@ impl World {
                 grid: GridNetwork::new(),
                 position,
                 client,
-                members: BTreeMap::new(),
+                members: BTreeSet::new(),
+                down: None,
             },
         );
         // Periodic aggregator-side sampling and verification windows.
@@ -923,17 +970,37 @@ impl World {
     /// Adds a device to the world. The device is initially unplugged; use
     /// [`plug_in_now`](Self::plug_in_now) or [`schedule_plug_in`](Self::schedule_plug_in)
     /// to connect it to a network.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is already taken or not below [`ID_LIMIT`].
     pub fn add_device(&mut self, mut device: MeteringDevice) {
         let id = device.id();
+        assert!(
+            id.0 < ID_LIMIT,
+            "device id {} is not below {ID_LIMIT}",
+            id.0
+        );
+        assert!(
+            !self.devices.contains_key(&id),
+            "device {} added twice",
+            id.0
+        );
         device.boot(self.now());
         let client = device_client(id);
         self.broker.connect(client, self.config.wifi);
         self.broker
             .subscribe(client, &downlink_topic(id))
             .expect("device subscription");
-        self.device_clients.insert(id, client);
-        self.client_endpoints.insert(client, Endpoint::Device(id));
-        self.devices.insert(id, device);
+        self.devices.insert(
+            id,
+            DeviceSlot {
+                device,
+                site: None,
+                meter_kind: MeterKind::Internal,
+                measure_override: None,
+            },
+        );
         // Start the measurement timer.
         self.scheduler.schedule(
             self.now() + self.config.t_measure,
@@ -1061,9 +1128,8 @@ impl World {
         self.broker.connect(manager_client(), LinkConfig::ideal());
         let device_ids: Vec<DeviceId> = self.devices.keys().copied().collect();
         for id in &device_ids {
-            let client = self.device_clients[id];
             self.broker
-                .subscribe_at(client, &command_topic(*id), now)
+                .subscribe_at(device_client(*id), &command_topic(*id), now)
                 .expect("device command subscription");
             self.broker
                 .subscribe_at(manager_client(), &status_topic(*id), now)
@@ -1088,21 +1154,23 @@ impl World {
     /// `rtem-codecs` encoder before transmission and parsed back on the
     /// aggregator side. Devices never assigned a kind speak
     /// [`MeterKind::Internal`], the native packet encoding.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the device does not exist.
     pub fn set_meter_kind(&mut self, device: DeviceId, kind: MeterKind) {
-        if kind == MeterKind::Internal {
-            self.device_meter_kinds.remove(&device);
-        } else {
-            self.device_meter_kinds.insert(device, kind);
-        }
+        self.devices
+            .get_mut(&device)
+            .expect("unknown device")
+            .meter_kind = kind;
     }
 
     /// The meter protocol `device` speaks ([`MeterKind::Internal`] unless
-    /// assigned otherwise).
+    /// assigned otherwise, or for a device not in the world).
     pub fn meter_kind(&self, device: DeviceId) -> MeterKind {
-        self.device_meter_kinds
+        self.devices
             .get(&device)
-            .copied()
-            .unwrap_or(MeterKind::Internal)
+            .map_or(MeterKind::Internal, |slot| slot.meter_kind)
     }
 
     /// Wire-level accounting at the meter-codec boundary.
@@ -1330,7 +1398,7 @@ impl World {
         let mut reboots = 0u64;
         let mut crashed = 0u64;
         let mut lost_to_crashes = 0u64;
-        for device in self.devices.values() {
+        for (_, device) in self.devices() {
             buffered += device.buffered_records() as u64;
             reboots += u64::from(device.counters().reboots);
             crashed += u64::from(device.is_crashed());
@@ -1431,17 +1499,16 @@ impl World {
             let mut buffered = 0u64;
             let mut reboots = 0u64;
             let mut crashed = 0u64;
-            for device_id in site.members.keys() {
-                let client = device_client(*device_id);
+            for &device_id in &site.members {
+                let client = device_client(device_id);
                 queue_depth += self.broker.session_queue_len(client).unwrap_or(0) as u64;
                 if let Some(totals) = self.broker.client_link_totals(client) {
                     links += totals;
                 }
-                if let Some(device) = self.devices.get(device_id) {
-                    buffered += device.buffered_records() as u64;
-                    reboots += u64::from(device.counters().reboots);
-                    crashed += u64::from(device.is_crashed());
-                }
+                let device = &self.devices[&device_id].device;
+                buffered += device.buffered_records() as u64;
+                reboots += u64::from(device.counters().reboots);
+                crashed += u64::from(device.is_crashed());
             }
             let scope = registry.network_mut(addr.0);
             scope.set(MetricId::BrokerSessionQueueDepth, queue_depth);
@@ -1489,10 +1556,10 @@ impl World {
         self.emit_snapshots_through(horizon);
     }
 
-    /// Pops the maximal run of simultaneous `MeasureTick` events for
-    /// distinct devices at the queue front into `tick_batch_scratch`.
-    /// Returns `false` — leaving the queue untouched — when the front event
-    /// is anything else.
+    /// Pops the maximal run of simultaneous `MeasureTick` events at the
+    /// queue front into `tick_batch_scratch`. Returns `false` — leaving the
+    /// queue untouched — when the front event is anything else. The ids are
+    /// distinct: each device has exactly one tick pending.
     ///
     /// Only *equal-time* ticks batch: an event scheduled while the batch
     /// applies (a broker poll armed at `now`, a rescheduled tick) always
@@ -1507,9 +1574,8 @@ impl World {
             return false;
         }
         self.tick_batch_scratch.clear();
-        self.tick_seen_scratch.clear();
         while let Some((t, &WorldEvent::MeasureTick(device))) = queue.peek() {
-            if t != at || !self.tick_seen_scratch.insert(device) {
+            if t != at {
                 break;
             }
             queue.pop();
@@ -1534,7 +1600,6 @@ impl World {
             results.resize_with(total, TickOutcome::default);
         }
         for outcome in &mut results[..total] {
-            outcome.present = false;
             outcome.handshake_before = None;
             outcome.outbound.clear();
         }
@@ -1550,7 +1615,6 @@ impl World {
                 |device, outcome: &mut TickOutcome| {
                     outcome.handshake_before = device.last_handshake();
                     device.on_measure_tick_into(now, radio, &mut outcome.outbound);
-                    outcome.present = true;
                 },
             )
         };
@@ -1590,20 +1654,13 @@ impl World {
                     .then(std::time::Instant::now)
             });
             let outcome = &mut results[i];
-            if outcome.present {
-                self.note_handshake(device_id, outcome.handshake_before, now);
-                for out in outcome.outbound.drain(..) {
-                    self.publish_uplink(device_id, out.to, out.packet, now);
-                }
-                let interval = self
-                    .measure_overrides
-                    .get(&device_id)
-                    .copied()
-                    .unwrap_or(self.config.t_measure);
-                self.scheduler
-                    .schedule(now + interval, WorldEvent::MeasureTick(device_id));
-                self.arm_broker_poll(now);
-            }
+            self.apply_device_output(
+                device_id,
+                outcome.handshake_before,
+                &mut outcome.outbound,
+                now,
+            );
+            self.rearm_measure_tick(device_id, now);
             if let Some(started) = started {
                 let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 if let Some(profiler) = self
@@ -1668,7 +1725,7 @@ impl World {
             WorldEvent::WindowEnd(addr) => {
                 // A dark aggregator seals nothing; the timer stays alive so
                 // windows resume at the usual cadence after recovery.
-                if !self.down_sites.contains_key(&addr) {
+                if self.sites[&addr].down.is_none() {
                     let mut anomalous = false;
                     if let Some(site) = self.sites.get_mut(&addr) {
                         let blocks_before = site.aggregator.ledger().chain().len();
@@ -1763,7 +1820,7 @@ impl World {
             CommandTarget::Site(addr) => self
                 .sites
                 .get(&addr)
-                .map(|site| site.members.keys().copied().collect())
+                .map(|site| site.members.iter().copied().collect())
                 .unwrap_or_default(),
             CommandTarget::Cohort { percent } => self.cohort(percent),
         };
@@ -1804,7 +1861,7 @@ impl World {
         payload: &bytes::Bytes,
         now: SimTime,
     ) {
-        let Some(&Endpoint::Device(device_id)) = self.client_endpoints.get(&to) else {
+        let Some(device_id) = client_device(to) else {
             return;
         };
         let Ok(frame) = CommandFrame::decode(payload) else {
@@ -1818,18 +1875,14 @@ impl World {
         // A crashed firmware is deaf; its broker session is disconnected, so
         // this only guards the crash-at-the-same-instant race. The queued
         // replay (or the retained copy) catches the device after restart.
-        if self
+        let slot = self
             .devices
-            .get(&device_id)
-            .map_or(true, |d| d.is_crashed())
-        {
+            .get_mut(&device_id)
+            .expect("device clients belong to table slots");
+        if slot.device.is_crashed() || !runtime.applied_to.insert(device_id) {
             return;
         }
-        if !runtime.applied_to.insert(device_id) {
-            return;
-        }
-        let applied = self.apply_fleet_command(device_id, frame.command);
-        let runtime = &mut self.controls[frame.seq as usize];
+        let applied = apply_fleet_command(slot, frame.command);
         if applied {
             runtime.record.applied += 1;
         } else {
@@ -1846,9 +1899,8 @@ impl World {
             seq: frame.seq,
             applied,
         };
-        let client = self.device_clients[&device_id];
         let _ = self.broker.publish(
-            client,
+            device_client(device_id),
             &status_topic(device_id),
             ack.encode(),
             QoS::AtLeastOnce,
@@ -1882,68 +1934,6 @@ impl World {
         runtime.record.last_ack_at = Some(now);
     }
 
-    /// Executes one fleet command on one device's firmware (or the world
-    /// state standing in for it). Returns whether the command was accepted.
-    fn apply_fleet_command(&mut self, device_id: DeviceId, command: FleetCommand) -> bool {
-        match command {
-            FleetCommand::SetMeasureInterval { interval } => {
-                let Some(device) = self.devices.get_mut(&device_id) else {
-                    return false;
-                };
-                if !device.set_measure_interval(interval) {
-                    return false;
-                }
-                // The already-armed tick fires at the old cadence once; the
-                // reschedule after it picks up the override.
-                self.measure_overrides.insert(device_id, interval);
-                true
-            }
-            FleetCommand::SetTariffHint(hint) => {
-                if !hint.is_valid() {
-                    return false;
-                }
-                let Some(device) = self.devices.get_mut(&device_id) else {
-                    return false;
-                };
-                device.set_tariff(DeviceTariff {
-                    peak_price_per_mwh: hint.peak_price_per_mwh,
-                    off_peak_price_per_mwh: hint.off_peak_price_per_mwh,
-                    peak_start_s: hint.peak_start_s,
-                    peak_end_s: hint.peak_end_s,
-                });
-                true
-            }
-            FleetCommand::SetMeterKind { kind } => {
-                if !self.devices.contains_key(&device_id) {
-                    return false;
-                }
-                self.set_meter_kind(device_id, kind);
-                true
-            }
-            FleetCommand::StartReporting => {
-                let Some(device) = self.devices.get_mut(&device_id) else {
-                    return false;
-                };
-                device.set_reporting(true);
-                true
-            }
-            FleetCommand::StopReporting => {
-                let Some(device) = self.devices.get_mut(&device_id) else {
-                    return false;
-                };
-                device.set_reporting(false);
-                true
-            }
-            FleetCommand::CrashRecoveryConfig { persist_store } => {
-                let Some(device) = self.devices.get_mut(&device_id) else {
-                    return false;
-                };
-                device.set_persist_store(persist_store);
-                true
-            }
-        }
-    }
-
     /// Emits a [`WorldNotification::HandshakeCompleted`] when the device's
     /// most recent handshake changed across a state transition.
     fn note_handshake(
@@ -1952,9 +1942,7 @@ impl World {
         before: Option<HandshakeBreakdown>,
         now: SimTime,
     ) {
-        let Some(device) = self.devices.get(&device_id) else {
-            return;
-        };
+        let device = &self.devices[&device_id].device;
         let after = device.last_handshake();
         if after != before {
             if let Some(breakdown) = after {
@@ -1970,38 +1958,50 @@ impl World {
         }
     }
 
-    fn handle_measure_tick(&mut self, device_id: DeviceId, now: SimTime) {
-        let mut outbound = std::mem::take(&mut self.outbound_scratch);
-        outbound.clear();
-        let handshake_before = {
-            let Some(device) = self.devices.get_mut(&device_id) else {
-                self.outbound_scratch = outbound;
-                return;
-            };
-            let before = device.last_handshake();
-            device.on_measure_tick_into(now, &self.radio, &mut outbound);
-            before
-        };
+    /// Replays one device step on shared state: the handshake notification,
+    /// then the device's outbound packets in emission order.
+    fn apply_device_output(
+        &mut self,
+        device_id: DeviceId,
+        handshake_before: Option<HandshakeBreakdown>,
+        outbound: &mut Vec<rtem_device::device::Outbound>,
+        now: SimTime,
+    ) {
         self.note_handshake(device_id, handshake_before, now);
         for out in outbound.drain(..) {
             self.publish_uplink(device_id, out.to, out.packet, now);
         }
-        self.outbound_scratch = outbound;
-        // A `SetMeasureInterval` command overrides the world-wide Tmeasure
-        // per device; the map is empty in uncommanded runs.
-        let interval = self
-            .measure_overrides
-            .get(&device_id)
-            .copied()
+    }
+
+    /// Arms the device's next tick: a `SetMeasureInterval` command's
+    /// override, else the world-wide Tmeasure.
+    fn rearm_measure_tick(&mut self, device_id: DeviceId, now: SimTime) {
+        let interval = self.devices[&device_id]
+            .measure_override
             .unwrap_or(self.config.t_measure);
         self.scheduler
             .schedule(now + interval, WorldEvent::MeasureTick(device_id));
         self.arm_broker_poll(now);
     }
 
+    fn handle_measure_tick(&mut self, device_id: DeviceId, now: SimTime) {
+        let mut outbound = std::mem::take(&mut self.outbound_scratch);
+        outbound.clear();
+        let device = &mut self
+            .devices
+            .get_mut(&device_id)
+            .expect("ticking device")
+            .device;
+        let handshake_before = device.last_handshake();
+        device.on_measure_tick_into(now, &self.radio, &mut outbound);
+        self.apply_device_output(device_id, handshake_before, &mut outbound, now);
+        self.outbound_scratch = outbound;
+        self.rearm_measure_tick(device_id, now);
+    }
+
     fn handle_upstream_sample(&mut self, addr: AggregatorAddr, now: SimTime) {
         // A dark aggregator's own meter is dark too; keep the timer alive.
-        if self.down_sites.contains_key(&addr) {
+        if self.sites[&addr].down.is_some() {
             self.scheduler.schedule(
                 now + self.config.upstream_sample_interval,
                 WorldEvent::UpstreamSample(addr),
@@ -2019,18 +2019,16 @@ impl World {
         loads.clear();
         if let Some(site) = self.sites.get(&addr) {
             if self.config.shards > 1 && site.members.len() >= 2 * PARALLEL_MIN_CHUNK {
-                let ids: Vec<DeviceId> = site.members.keys().copied().collect();
-                let branches: Vec<BranchId> = site.members.values().copied().collect();
-                let mut currents: Vec<Option<rtem_sensors::energy::Milliamps>> =
-                    vec![None; ids.len()];
+                let ids: Vec<DeviceId> = site.members.iter().copied().collect();
+                let mut currents = vec![rtem_sensors::energy::Milliamps::ZERO; ids.len()];
                 let lanes = {
                     let mut slots = device_slots(&mut self.devices, &ids);
                     fan_out(
                         &mut slots,
                         &mut currents,
                         self.config.shards,
-                        |device, current: &mut Option<rtem_sensors::energy::Milliamps>| {
-                            *current = Some(device.true_grid_current(now));
+                        |device, current: &mut rtem_sensors::energy::Milliamps| {
+                            *current = device.true_grid_current(now);
                         },
                     )
                 };
@@ -2045,16 +2043,16 @@ impl World {
                         }
                     }
                 }
-                for (branch, current) in branches.into_iter().zip(currents) {
-                    if let Some(current) = current {
-                        loads.push((branch, current));
-                    }
+                for (id, current) in ids.iter().zip(currents) {
+                    loads.push((self.devices[id].branch(), current));
                 }
             } else {
-                for (&device_id, &branch) in &site.members {
-                    if let Some(device) = self.devices.get_mut(&device_id) {
-                        loads.push((branch, device.true_grid_current(now)));
-                    }
+                for device_id in &site.members {
+                    let slot = self
+                        .devices
+                        .get_mut(device_id)
+                        .expect("members are in the table");
+                    loads.push((slot.branch(), slot.device.true_grid_current(now)));
                 }
             }
         }
@@ -2070,22 +2068,27 @@ impl World {
         );
     }
 
-    fn do_plug_in(&mut self, device_id: DeviceId, network: AggregatorAddr, now: SimTime) {
-        assert!(self.devices.contains_key(&device_id), "unknown device");
-        // Remove from the previous grid, if any.
-        if let Some((old_addr, old_branch)) = self.device_sites.remove(&device_id) {
-            if let Some(old_site) = self.sites.get_mut(&old_addr) {
-                old_site.grid.remove_branch(old_branch);
-                old_site.members.remove(&device_id);
-            }
+    /// Takes the device off the grid branch it occupies, if any, and
+    /// returns its slot.
+    fn leave_site(&mut self, device_id: DeviceId) -> &mut DeviceSlot {
+        let slot = self.devices.get_mut(&device_id).expect("unknown device");
+        if let Some((addr, branch)) = slot.site.take() {
+            let site = self.sites.get_mut(&addr).expect("slot sites exist");
+            site.grid.remove_branch(branch);
+            site.members.remove(&device_id);
         }
+        slot
+    }
+
+    fn do_plug_in(&mut self, device_id: DeviceId, network: AggregatorAddr, now: SimTime) {
+        self.leave_site(device_id);
         let site = self.sites.get_mut(&network).expect("unknown network");
         let branch = site.grid.add_branch(Branch::default());
         let position = Position::new(site.position.x + 2.0, site.position.y + 1.0);
-        site.members.insert(device_id, branch);
-        self.device_sites.insert(device_id, (network, branch));
-        let device = self.devices.get_mut(&device_id).expect("device exists");
-        device.plug_in(now, branch, position);
+        site.members.insert(device_id);
+        let slot = self.devices.get_mut(&device_id).expect("device exists");
+        slot.site = Some((network, branch));
+        slot.device.plug_in(now, branch, position);
         self.notifications.push(WorldNotification::PluggedIn {
             at: now,
             device: device_id,
@@ -2094,19 +2097,14 @@ impl World {
     }
 
     fn do_unplug(&mut self, device_id: DeviceId, now: SimTime) {
-        if let Some((addr, branch)) = self.device_sites.remove(&device_id) {
-            if let Some(site) = self.sites.get_mut(&addr) {
-                site.grid.remove_branch(branch);
-                site.members.remove(&device_id);
-            }
+        if !self.devices.contains_key(&device_id) {
+            return;
         }
-        if let Some(device) = self.devices.get_mut(&device_id) {
-            device.unplug(now);
-            self.notifications.push(WorldNotification::Unplugged {
-                at: now,
-                device: device_id,
-            });
-        }
+        self.leave_site(device_id).device.unplug(now);
+        self.notifications.push(WorldNotification::Unplugged {
+            at: now,
+            device: device_id,
+        });
     }
 
     fn publish_uplink(
@@ -2117,11 +2115,14 @@ impl World {
         now: SimTime,
     ) {
         let packet = self.lower_to_wire(device_id, packet, now);
-        let client = self.device_clients[&device_id];
         let payload = packet.encode();
-        let _ = self
-            .broker
-            .publish(client, &uplink_topic(to), payload, QoS::AtLeastOnce, now);
+        let _ = self.broker.publish(
+            device_client(device_id),
+            &uplink_topic(to),
+            payload,
+            QoS::AtLeastOnce,
+            now,
+        );
         self.arm_broker_poll(now);
     }
 
@@ -2346,51 +2347,44 @@ impl World {
             let Ok(packet) = Packet::decode(&delivery.payload) else {
                 continue;
             };
-            match self.client_endpoints.get(&delivery.to) {
-                // Uplink to an aggregator.
-                Some(&Endpoint::Site(addr)) => {
-                    // The meter-codec boundary on the receive side: telegram
-                    // envelopes are parsed back into consumption reports
-                    // before the aggregator sees them. A telegram that fails
-                    // its codec is dropped here — no acknowledgment goes
-                    // back, so the device retries from local storage.
-                    let packet = match packet {
-                        Packet::Telegram {
-                            device,
-                            codec,
-                            payload,
-                        } => {
-                            let Some(report) = self.parse_telegram(device, codec, &payload, now)
-                            else {
-                                continue;
-                            };
-                            report
-                        }
-                        other => other,
-                    };
-                    let out = {
-                        let site = self.sites.get_mut(&addr).expect("site exists");
-                        site.aggregator.handle_device_packet(&packet, now)
-                    };
-                    self.route_aggregator_output(addr, out, now);
-                }
-                // Downlink to a device.
-                Some(&Endpoint::Device(device_id)) => {
-                    let mut outbound = std::mem::take(&mut self.outbound_scratch);
-                    outbound.clear();
-                    let handshake_before = {
-                        let device = self.devices.get_mut(&device_id).expect("device exists");
-                        let before = device.last_handshake();
-                        device.on_packet_into(&packet, now, &mut outbound);
-                        before
-                    };
-                    self.note_handshake(device_id, handshake_before, now);
-                    for out in outbound.drain(..) {
-                        self.publish_uplink(device_id, out.to, out.packet, now);
+            if let Some(addr) = client_site(delivery.to) {
+                // Uplink to an aggregator, through the meter-codec boundary
+                // on the receive side: telegram envelopes are parsed back
+                // into consumption reports before the aggregator sees them.
+                // A telegram that fails its codec is dropped here — no
+                // acknowledgment goes back, so the device retries from
+                // local storage.
+                let packet = match packet {
+                    Packet::Telegram {
+                        device,
+                        codec,
+                        payload,
+                    } => {
+                        let Some(report) = self.parse_telegram(device, codec, &payload, now) else {
+                            continue;
+                        };
+                        report
                     }
-                    self.outbound_scratch = outbound;
-                }
-                None => {}
+                    other => other,
+                };
+                let out = {
+                    let site = self.sites.get_mut(&addr).expect("site exists");
+                    site.aggregator.handle_device_packet(&packet, now)
+                };
+                self.route_aggregator_output(addr, out, now);
+            } else if let Some(device_id) = client_device(delivery.to) {
+                // Downlink to a device.
+                let mut outbound = std::mem::take(&mut self.outbound_scratch);
+                outbound.clear();
+                let device = &mut self
+                    .devices
+                    .get_mut(&device_id)
+                    .expect("device exists")
+                    .device;
+                let handshake_before = device.last_handshake();
+                device.on_packet_into(&packet, now, &mut outbound);
+                self.apply_device_output(device_id, handshake_before, &mut outbound, now);
+                self.outbound_scratch = outbound;
             }
         }
         self.arm_broker_poll(now);
@@ -2399,7 +2393,7 @@ impl World {
     fn drain_backhaul(&mut self, now: SimTime) {
         let deliveries = self.backhaul.drain_due(now);
         for delivery in deliveries {
-            if let Some(&fault_id) = self.down_sites.get(&delivery.to) {
+            if let Some(fault_id) = self.sites.get(&delivery.to).and_then(|site| site.down) {
                 self.deliver_to_down_site(fault_id, delivery, now);
                 continue;
             }
@@ -2483,10 +2477,10 @@ impl World {
     fn fault_start(&mut self, id: usize, now: SimTime) {
         match self.faults[id].event {
             FaultEvent::SensorFault { device, kind, .. } => {
-                let Some(d) = self.devices.get_mut(&device) else {
+                let Some(slot) = self.devices.get_mut(&device) else {
                     return;
                 };
-                d.inject_sensor_fault(SensorFault::new(kind, now));
+                slot.device.inject_sensor_fault(SensorFault::new(kind, now));
                 self.note_fault_injected(id, now);
             }
             FaultEvent::MeterTamper { network, .. } => {
@@ -2513,10 +2507,10 @@ impl World {
                                 .sites
                                 .get(&n)
                                 .into_iter()
-                                .flat_map(|site| site.members.keys())
-                                .map(|dev| self.device_clients[dev])
+                                .flat_map(|site| site.members.iter())
+                                .map(|&dev| device_client(dev))
                                 .collect(),
-                            None => self.device_clients.values().copied().collect(),
+                            None => self.devices.keys().map(|&dev| device_client(dev)).collect(),
                         };
                         clients.extend(
                             self.sites
@@ -2563,29 +2557,27 @@ impl World {
                 self.note_fault_injected(id, now);
             }
             FaultEvent::DeviceCrash { device, .. } => {
-                let Some(d) = self.devices.get_mut(&device) else {
+                let Some(slot) = self.devices.get_mut(&device) else {
                     return;
                 };
-                d.crash(now);
-                if let Some(&client) = self.device_clients.get(&device) {
-                    self.broker.disconnect(client);
-                }
+                slot.device.crash(now);
+                self.broker.disconnect(device_client(device));
                 self.note_fault_injected(id, now);
             }
             FaultEvent::AggregatorOutage {
                 network, failover, ..
             } => {
-                let Some(site) = self.sites.get(&network) else {
+                let Some(site) = self.sites.get_mut(&network) else {
                     return;
                 };
                 // The aggregator's MQTT session drops; device publishes find
                 // no subscriber and the devices fall back to local storage.
                 self.broker.disconnect(site.client);
-                self.down_sites.insert(network, id);
+                site.down = Some(id);
                 if let Some(backup) = failover {
                     if self.sites.contains_key(&backup) {
                         let moved: Vec<DeviceId> =
-                            self.sites[&network].members.keys().copied().collect();
+                            self.sites[&network].members.iter().copied().collect();
                         for device in &moved {
                             self.do_plug_in(*device, backup, now);
                         }
@@ -2602,7 +2594,7 @@ impl World {
                 let validators: Vec<DeviceId> = self
                     .sites
                     .get(&network)
-                    .map(|site| site.members.keys().copied().collect())
+                    .map(|site| site.members.iter().copied().collect())
                     .unwrap_or_default();
                 if validators.len() >= 2 {
                     let byzantine = (voters as usize).min(validators.len());
@@ -2633,8 +2625,8 @@ impl World {
         }
         match self.faults[id].event {
             FaultEvent::SensorFault { device, .. } => {
-                if let Some(d) = self.devices.get_mut(&device) {
-                    d.clear_sensor_fault();
+                if let Some(slot) = self.devices.get_mut(&device) {
+                    slot.device.clear_sensor_fault();
                 }
             }
             FaultEvent::LinkDegrade { .. } => {
@@ -2648,24 +2640,22 @@ impl World {
                 }
             }
             FaultEvent::DeviceCrash { device, .. } => {
-                if let Some(d) = self.devices.get_mut(&device) {
-                    d.restart(now);
-                }
-                if let Some(&client) = self.device_clients.get(&device) {
+                if let Some(slot) = self.devices.get_mut(&device) {
+                    slot.device.restart(now);
                     // Resume the MQTT session in place: a link burst active
                     // across the reboot keeps degrading this client, and
                     // its offered/lost history survives. The broker replays
                     // QoS >= 1 messages queued during the crash plus any
                     // retained config, so the rebooted device catches up.
-                    self.broker.reconnect(client, now);
+                    self.broker.reconnect(device_client(device), now);
                     self.arm_broker_poll(now);
                 }
             }
             FaultEvent::AggregatorOutage {
                 network, failover, ..
             } => {
-                self.down_sites.remove(&network);
-                if let Some(site) = self.sites.get(&network) {
+                if let Some(site) = self.sites.get_mut(&network) {
+                    site.down = None;
                     // The MQTT session resumes; the link (and whatever
                     // quality a concurrent burst set on it) is untouched.
                     // Uplinks queued for the dark site's persistent session
@@ -2690,8 +2680,8 @@ impl World {
                 // topology the script gave it.
                 let moved = std::mem::take(&mut self.faults[id].failover_moved);
                 for device in moved {
-                    let still_adopted = failover.is_some()
-                        && self.device_sites.get(&device).map(|(a, _)| *a) == failover;
+                    let still_adopted =
+                        failover.is_some() && self.device_network(device) == failover;
                     if still_adopted {
                         self.do_plug_in(device, network, now);
                     }
@@ -2820,7 +2810,7 @@ impl World {
             }
             match fault.event {
                 FaultEvent::SensorFault { device, .. } | FaultEvent::DeviceCrash { device, .. }
-                    if self.device_sites.get(&device).map(|(a, _)| *a) == Some(addr) =>
+                    if self.device_network(device) == Some(addr) =>
                 {
                     scoped.push(record.id);
                 }
@@ -3032,7 +3022,7 @@ impl World {
                 .iter()
                 .filter(|(peer, site)| {
                     **peer != addr
-                        && !self.down_sites.contains_key(peer)
+                        && site.down.is_none()
                         && site.aggregator.cross_check_records(records) > 0
                 })
                 .count();
@@ -3057,12 +3047,12 @@ impl World {
 
     /// Shared access to a device.
     pub fn device(&self, id: DeviceId) -> Option<&MeteringDevice> {
-        self.devices.get(&id)
+        self.devices.get(&id).map(|slot| &slot.device)
     }
 
     /// Network a device is currently plugged into, if any.
     pub fn device_network(&self, id: DeviceId) -> Option<AggregatorAddr> {
-        self.device_sites.get(&id).map(|(addr, _)| *addr)
+        Some(self.devices.get(&id)?.site?.0)
     }
 
     /// All aggregator addresses in the world.
@@ -3091,7 +3081,7 @@ impl World {
     /// Iterates `(id, device)` pairs in ascending id order, without cloning
     /// the index ([`device_ids`](Self::device_ids) does).
     pub fn devices(&self) -> impl Iterator<Item = (DeviceId, &MeteringDevice)> + '_ {
-        self.devices.iter().map(|(&id, device)| (id, device))
+        self.devices.iter().map(|(&id, slot)| (id, &slot.device))
     }
 
     /// Number of devices in the world.
@@ -3616,6 +3606,99 @@ mod tests {
         assert_eq!(world.device_ids().len(), 2);
         assert!(world.device(DeviceId(99)).is_none());
         assert!(world.aggregator(AggregatorAddr(9)).is_none());
+    }
+
+    fn testbed_device(id: u64) -> MeteringDevice {
+        MeteringDevice::testbed(
+            DeviceId(id),
+            ConstantProfile::new(150.0),
+            SimRng::seed_from_u64(100 + id),
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "added twice")]
+    fn adding_a_device_twice_panics() {
+        let mut world = single_network_world(1);
+        world.add_device(testbed_device(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "not below")]
+    fn device_id_in_the_aggregator_client_block_panics() {
+        // Device 1,000,001 would share its broker client with network 1.
+        let mut world = single_network_world(1);
+        world.add_device(testbed_device(ID_LIMIT + 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "added twice")]
+    fn adding_a_network_twice_panics() {
+        let mut world = single_network_world(1);
+        world.add_network(AggregatorAddr(1), Position::new(50.0, 0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "not below")]
+    fn network_address_at_the_id_limit_panics() {
+        // Its aggregator client would be the fleet manager's.
+        let mut world = single_network_world(1);
+        world.add_network(AggregatorAddr(ID_LIMIT as u32), Position::new(50.0, 0.0));
+    }
+
+    /// Checks that each slot's site is the one `NetworkSite` listing the
+    /// device as a member, and returns the number of plugged devices.
+    fn assert_table_agrees_with_sites(world: &World) -> usize {
+        let mut plugged = 0;
+        for (&id, slot) in &world.devices {
+            let listed_by: Vec<AggregatorAddr> = world
+                .sites
+                .iter()
+                .filter(|(_, site)| site.members.contains(&id))
+                .map(|(&addr, _)| addr)
+                .collect();
+            let slot_site: Vec<AggregatorAddr> =
+                slot.site.map(|(addr, _)| addr).into_iter().collect();
+            assert_eq!(listed_by, slot_site, "device {} at {}", id.0, world.now());
+            plugged += usize::from(slot.site.is_some());
+        }
+        let members: usize = world.sites.values().map(|site| site.members.len()).sum();
+        assert_eq!(members, plugged, "member sets at {}", world.now());
+        plugged
+    }
+
+    #[test]
+    fn device_table_and_site_members_agree_through_topology_changes() {
+        let mut world = two_network_world();
+        world.add_device(testbed_device(3));
+        assert_eq!(assert_table_agrees_with_sites(&world), 2);
+        world.schedule_plug_in(SimTime::from_secs(10), DeviceId(3), AggregatorAddr(1));
+        world.schedule_unplug(SimTime::from_secs(20), DeviceId(3));
+        world.schedule_plug_in(SimTime::from_secs(30), DeviceId(3), AggregatorAddr(2));
+        world.schedule_fault(FaultEvent::AggregatorOutage {
+            at: SimTime::from_secs(40),
+            until: SimTime::from_secs(60),
+            network: AggregatorAddr(1),
+            failover: Some(AggregatorAddr(2)),
+        });
+        let steps = [
+            (10, 3, [Some(1), Some(1), Some(1)]), // plug-in
+            (20, 2, [Some(1), Some(1), None]),    // unplug
+            (30, 3, [Some(1), Some(1), Some(2)]), // re-plug elsewhere
+            (45, 3, [Some(2), Some(2), Some(2)]), // outage: failover
+            (70, 3, [Some(1), Some(1), Some(2)]), // recovery
+        ];
+        for (secs, plugged, sites) in steps {
+            world.run_until(SimTime::from_secs(secs));
+            assert_eq!(assert_table_agrees_with_sites(&world), plugged);
+            for (id, site) in (1u64..).zip(sites) {
+                assert_eq!(
+                    world.device_network(DeviceId(id)),
+                    site.map(AggregatorAddr),
+                    "device {id} at {secs} s"
+                );
+            }
+        }
     }
 
     #[test]

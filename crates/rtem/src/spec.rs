@@ -15,8 +15,8 @@ use rtem_aggregator::aggregator::RetentionPolicy;
 use rtem_aggregator::billing::{Tariff, TariffError};
 use rtem_codecs::MeterKind;
 use rtem_control::plan::{ControlError, ControlEvent, ControlPlan};
-use rtem_core::scenario::{DeviceLoad, ScenarioBuilder};
-use rtem_core::simulation::WorldConfig;
+use rtem_core::scenario::{DeviceLoad, ScenarioBuilder, DEVICE_ID_BLOCK};
+use rtem_core::simulation::{WorldConfig, ID_LIMIT};
 use rtem_device::network_mgmt::HandshakeTiming;
 use rtem_faults::event::FaultEvent;
 use rtem_faults::plan::{FaultPlan, FaultPlanError};
@@ -89,21 +89,23 @@ pub enum SpecError {
     NoNetworks,
     /// The spec declares zero devices per network — nothing reports.
     NoDevices,
-    /// `networks + empty_networks` does not fit the address space — the
-    /// spec would overflow instead of enumerating its networks.
+    /// `networks + empty_networks` reaches 10,000: the generated network
+    /// addresses and device-id blocks would leave the id range the world
+    /// accepts (see [`rtem_core::simulation::ID_LIMIT`]).
     TooManyNetworks {
         /// Declared populated networks.
         networks: u32,
         /// Declared initially-empty networks.
         empty_networks: u32,
     },
-    /// With more than one network, the generated device-id scheme reserves
-    /// a fixed-size id block per network; more devices per network than the
-    /// block holds would silently collide across networks.
+    /// More devices per network than the device-id scheme holds. With more
+    /// than one network, each network owns a fixed-size id block and a
+    /// larger population would collide with the next network's; a single
+    /// network may use every id below the world's id limit.
     TooManyDevicesPerNetwork {
         /// Declared devices per network.
         devices_per_network: u32,
-        /// Size of each network's device-id block.
+        /// Most devices per network this spec's shape allows.
         limit: u32,
     },
     /// The run horizon is zero — the world would never advance.
@@ -148,6 +150,11 @@ pub enum SpecError {
     ZeroShards,
 }
 
+/// Most networks (populated plus empty) a spec may declare: network `i`
+/// owns the device ids from `i * DEVICE_ID_BLOCK + 1`, and every generated
+/// id and address must stay below the world's [`ID_LIMIT`].
+const MAX_NETWORKS: u32 = (ID_LIMIT / DEVICE_ID_BLOCK as u64) as u32 - 1;
+
 impl fmt::Display for SpecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -158,15 +165,16 @@ impl fmt::Display for SpecError {
                 empty_networks,
             } => write!(
                 f,
-                "{networks} networks + {empty_networks} empty networks overflow the address space"
+                "{networks} networks + {empty_networks} empty networks exceed the {MAX_NETWORKS} \
+                 networks the id scheme can address"
             ),
             SpecError::TooManyDevicesPerNetwork {
                 devices_per_network,
                 limit,
             } => write!(
                 f,
-                "{devices_per_network} devices per network exceed the {limit}-id block reserved \
-                 per network (ids would collide across networks)"
+                "{devices_per_network} devices per network exceed the limit of {limit} \
+                 (ids would collide across networks or leave the device id range)"
             ),
             SpecError::ZeroHorizon => write!(f, "scenario horizon is zero"),
             SpecError::ZeroMeasureInterval => write!(f, "measurement interval is zero"),
@@ -576,17 +584,22 @@ impl ScenarioSpec {
         if self
             .networks
             .checked_add(self.empty_networks)
-            .map_or(true, |total| total > u32::MAX - 1)
+            .map_or(true, |total| total > MAX_NETWORKS)
         {
             return Err(SpecError::TooManyNetworks {
                 networks: self.networks,
                 empty_networks: self.empty_networks,
             });
         }
-        if self.networks > 1 && self.devices_per_network > rtem_core::scenario::DEVICE_ID_BLOCK {
+        let device_limit = if self.networks > 1 {
+            DEVICE_ID_BLOCK
+        } else {
+            (ID_LIMIT - 1) as u32
+        };
+        if self.devices_per_network > device_limit {
             return Err(SpecError::TooManyDevicesPerNetwork {
                 devices_per_network: self.devices_per_network,
-                limit: rtem_core::scenario::DEVICE_ID_BLOCK,
+                limit: device_limit,
             });
         }
         if self.horizon.is_zero() {
@@ -711,6 +724,37 @@ mod tests {
             spec.validate(),
             Err(SpecError::TooManyNetworks { .. })
         ));
+    }
+
+    #[test]
+    fn ten_thousand_networks_are_rejected() {
+        // Network 10,000's device block would start at id 999,901 and its
+        // last device reach 1,000,000, the first aggregator client id.
+        let spec = ScenarioSpec::paper_testbed(1)
+            .with_networks(9_998)
+            .with_empty_networks(2);
+        assert_eq!(
+            spec.validate(),
+            Err(SpecError::TooManyNetworks {
+                networks: 9_998,
+                empty_networks: 2
+            })
+        );
+        let spec = ScenarioSpec::paper_testbed(1).with_networks(9_999);
+        assert_eq!(spec.validate(), Ok(()));
+    }
+
+    #[test]
+    fn a_million_devices_in_one_network_are_rejected() {
+        let spec = ScenarioSpec::single_network(1_000_000, 1);
+        assert_eq!(
+            spec.validate(),
+            Err(SpecError::TooManyDevicesPerNetwork {
+                devices_per_network: 1_000_000,
+                limit: 999_999
+            })
+        );
+        assert_eq!(ScenarioSpec::single_network(999_999, 1).validate(), Ok(()));
     }
 
     #[test]
